@@ -4,6 +4,8 @@ Readers detect duplicate feature values "via hashing" during feature
 conversion (§6.3).  This module implements that detection for a single
 feature and for *grouped* features (which must match on every feature in
 the group simultaneously — the shared ``inverse_lookup`` invariant of §4.2).
+Rows are grouped by their exact content rather than by a hash, which finds
+the same groups with no collisions to verify.
 
 The canonical output is a pair ``(unique_indices, inverse_lookup)``:
 
@@ -32,24 +34,27 @@ __all__ = [
 ]
 
 
-def _row_key(jt: JaggedTensor, i: int) -> bytes:
-    return jt.row(i).tobytes()
+def _row_matrix(jt: JaggedTensor) -> np.ndarray:
+    """One matrix row per jagged row: ``[length, values zero-padded]``.
+
+    The leading length keeps prefix-equal rows (``[1, 2]`` vs
+    ``[1, 2, 0]``) apart.  Values enter as the unsigned integer of their
+    own width, so rows compare by their exact bits whatever the dtype.
+    """
+    n = jt.num_rows
+    lengths = jt.lengths
+    width = int(lengths.max()) if n else 0
+    matrix = np.zeros((n, 1 + width), dtype=np.uint64)
+    matrix[:, 0] = lengths
+    if width:
+        mask = np.arange(width)[None, :] < lengths[:, None]
+        matrix[:, 1:][mask] = jt.values.view(f"u{jt.values.dtype.itemsize}")
+    return matrix
 
 
 def dedup_rows(jt: JaggedTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Find duplicate rows of one jagged tensor via content hashing."""
-    seen: dict[bytes, int] = {}
-    unique: list[int] = []
-    inverse = np.empty(jt.num_rows, dtype=np.int64)
-    for i in range(jt.num_rows):
-        key = _row_key(jt, i)
-        pos = seen.get(key)
-        if pos is None:
-            pos = len(unique)
-            seen[key] = pos
-            unique.append(i)
-        inverse[i] = pos
-    return np.asarray(unique, dtype=np.int64), inverse
+    """Find duplicate rows of one jagged tensor."""
+    return dedup_grouped_rows([jt])
 
 
 def dedup_grouped_rows(
@@ -61,6 +66,11 @@ def dedup_grouped_rows(
     identical values for both rows.  Rows whose group members were not
     synchronously updated therefore stay un-deduplicated, preserving the
     shared-``inverse_lookup`` invariant (§4.2, Grouped IKJTs).
+
+    Grouping is exact and column-at-a-time: each member becomes a padded
+    matrix (:func:`_row_matrix`), the members sit side by side, and one
+    ``np.unique`` over whole matrix rows finds the groups — no hash, so
+    no collisions.
     """
     if not tensors:
         raise ValueError("need at least one tensor in the group")
@@ -68,18 +78,15 @@ def dedup_grouped_rows(
     for t in tensors[1:]:
         if t.num_rows != n:
             raise ValueError("group members must share a batch size")
-    seen: dict[tuple[bytes, ...], int] = {}
-    unique: list[int] = []
-    inverse = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        key = tuple(_row_key(t, i) for t in tensors)
-        pos = seen.get(key)
-        if pos is None:
-            pos = len(unique)
-            seen[key] = pos
-            unique.append(i)
-        inverse[i] = pos
-    return np.asarray(unique, dtype=np.int64), inverse
+    keys = np.concatenate([_row_matrix(t) for t in tensors], axis=1)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(n)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    # np.unique numbers groups in sorted-key order; renumber them in
+    # order of first appearance
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    return first[order].astype(np.int64), rank[inverse]
 
 
 # ---------------------------------------------------------------------------

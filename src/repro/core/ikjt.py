@@ -64,6 +64,16 @@ class InverseKeyedJaggedTensor:
                 f"inverse_lookup must index [0, {num_unique}); got range "
                 f"[{inverse_lookup.min()}, {inverse_lookup.max()}]"
             )
+        # Every unique row must back at least one batch row: an orphaned
+        # unique row would make padded pooling state (e.g. the transformer's
+        # sequence width) differ between the unique rows and the batch,
+        # and with it the bits of deduplicated compute.
+        referenced = np.bincount(inverse_lookup, minlength=num_unique)
+        if not referenced.all():
+            raise ValueError(
+                "inverse_lookup must reference every unique row; unreferenced: "
+                f"{np.flatnonzero(referenced == 0).tolist()}"
+            )
         self._tensors: dict[str, JaggedTensor] = dict(tensors)
         self._inverse_lookup = inverse_lookup
         self._batch_size = int(inverse_lookup.size)

@@ -27,6 +27,7 @@ __all__ = [
     "jagged_index_select",
     "dense_index_select",
     "gather_ranges",
+    "range_index",
     "segment_sum",
     "segment_mean",
     "segment_max",
@@ -35,13 +36,16 @@ __all__ = [
 ]
 
 
-def gather_ranges(
-    values: np.ndarray, offsets: np.ndarray, indices: np.ndarray
+def range_index(
+    offsets: np.ndarray, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather variable-length ranges ``indices`` out of (values, offsets).
+    """Flat positions of the variable-length ranges ``indices``.
 
-    Returns the new ``(values, offsets)`` pair.  This is the flat-array core
-    of :func:`jagged_index_select`, reused by the IKJT -> KJT conversion.
+    Returns ``(src, out_offsets)``: ``values[src]`` lays the selected rows
+    back to back and ``out_offsets`` delimits them.  Any array aligned
+    with ``values`` (IDs, activations, cached intermediates) can be
+    row-gathered with the same ``src`` — a pure gather, no arithmetic on
+    the gathered data.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1:
@@ -52,19 +56,27 @@ def gather_ranges(
             f"indices out of range [0, {num_rows}): "
             f"[{indices.min()}, {indices.max()}]"
         )
-    lengths = np.diff(offsets)
-    sel_lengths = lengths[indices]
+    sel_lengths = np.diff(offsets)[indices]
     out_offsets = offsets_from_lengths(sel_lengths)
     total = int(out_offsets[-1])
-    if total == 0:
-        return values[:0].copy(), out_offsets
     # For each output element, its source position is the selected row's
     # start offset plus the element's rank within the row.
-    row_starts = offsets[:-1][indices]
     within = np.arange(total, dtype=np.int64) - np.repeat(
         out_offsets[:-1], sel_lengths
     )
-    src = np.repeat(row_starts, sel_lengths) + within
+    src = np.repeat(offsets[:-1][indices], sel_lengths) + within
+    return src, out_offsets
+
+
+def gather_ranges(
+    values: np.ndarray, offsets: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather variable-length ranges ``indices`` out of (values, offsets).
+
+    Returns the new ``(values, offsets)`` pair.  This is the flat-array core
+    of :func:`jagged_index_select`, reused by the IKJT -> KJT conversion.
+    """
+    src, out_offsets = range_index(offsets, indices)
     return values[src], out_offsets
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.jagged_ops import segment_sum
+from ..core.jagged_ops import range_index, segment_sum
 from .embedding import EmbeddingActivations
 from .params import Parameter
 from .pooling import PoolingModule
@@ -87,6 +87,16 @@ class AttentionPooling(PoolingModule):
         self.W.grad += X.T @ dU
         dX += dU @ self.W.value.T
         return dX
+
+    def expand_state(self, inverse: np.ndarray) -> None:
+        if self._cache is None:
+            raise RuntimeError("expand_state before forward")
+        c = self._cache
+        src, offsets = range_index(c["offsets"], inverse)
+        self._cache = {
+            "X": c["X"][src], "H": c["H"][src], "alpha": c["alpha"][src],
+            "offsets": offsets, "lengths": c["lengths"][inverse],
+        }
 
     def params(self) -> list[Parameter]:
         return [self.W, self.q]
@@ -162,7 +172,7 @@ class TransformerPooling(PoolingModule):
         out = (Y2 * mask[:, :, None]).sum(axis=1) / denom
         self._cache = {
             "X": X, "mask": mask, "Q": Q, "K": K, "V": V, "A": A, "Z": Z,
-            "Y": Y, "F1": F1, "denom": denom, "offsets": acts.offsets,
+            "Y": Y, "F1": F1, "denom": denom,
         }
         return out
 
@@ -207,6 +217,12 @@ class TransformerPooling(PoolingModule):
         )
         # strip the padding back to jagged layout
         return dX[mask]
+
+    def expand_state(self, inverse: np.ndarray) -> None:
+        if self._cache is None:
+            raise RuntimeError("expand_state before forward")
+        # every cached tensor is per sequence, so a row gather is exact
+        self._cache = {k: v[inverse] for k, v in self._cache.items()}
 
     def params(self) -> list[Parameter]:
         return [

@@ -4,12 +4,18 @@ Sum / mean / max pooling aggregate each row's activations into one
 embedding-dim vector.  All implement explicit backward passes and FLOP
 counting; the FLOP count is what RecD's deduplicated compute (O7)
 divides by the dedupe factor.
+
+Deduplicated compute runs ``forward`` on an IKJT's unique rows only;
+:meth:`PoolingModule.expand_state` then rewrites the saved forward state
+to batch shape with pure gathers, so ``backward`` runs per batch copy
+exactly as if ``forward`` had seen the expanded batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.jagged import offsets_from_lengths
 from ..core.jagged_ops import segment_mean, segment_sum
 from .embedding import EmbeddingActivations
 from .params import Parameter
@@ -25,6 +31,19 @@ class PoolingModule:
 
     def backward(self, dpooled: np.ndarray) -> np.ndarray:
         """Return d(activations.values) of shape (N, D)."""
+        raise NotImplementedError
+
+    def expand_state(self, inverse: np.ndarray) -> None:
+        """Rewrite the last forward's saved state from unique to batch rows.
+
+        ``inverse[i]`` names the forward input row backing batch row
+        ``i``.  Afterwards :meth:`backward` takes one gradient row per
+        batch row and returns the batch-layout ``dvalues``, bitwise what
+        it would return had :meth:`forward` run on the expanded batch:
+        the rewrite only gathers, it does no float arithmetic.  Every
+        unique row must be referenced (a surjective ``inverse``) so that
+        padded state has the batch's width.
+        """
         raise NotImplementedError
 
     def params(self) -> list[Parameter]:
@@ -49,6 +68,9 @@ class SumPooling(PoolingModule):
         lengths = np.diff(self._offsets)
         return np.repeat(dpooled, lengths, axis=0)
 
+    def expand_state(self, inverse: np.ndarray) -> None:
+        self._offsets = _expand_offsets(self._offsets, inverse)
+
     def flops(self, total_values: int, dim: int, batch_size: int) -> float:
         return float(total_values * dim)
 
@@ -68,6 +90,9 @@ class MeanPooling(PoolingModule):
         scale = 1.0 / np.maximum(lengths, 1)
         return np.repeat(dpooled * scale[:, None], lengths, axis=0)
 
+    def expand_state(self, inverse: np.ndarray) -> None:
+        self._offsets = _expand_offsets(self._offsets, inverse)
+
     def flops(self, total_values: int, dim: int, batch_size: int) -> float:
         return float(total_values * dim + batch_size * dim)
 
@@ -77,8 +102,7 @@ class MaxPooling(PoolingModule):
 
     def __init__(self) -> None:
         self._argmax: np.ndarray | None = None  # (B, D) indices into values
-        self._lengths: np.ndarray | None = None
-        self._n_values = 0
+        self._offsets: np.ndarray | None = None
 
     def forward(self, acts: EmbeddingActivations) -> np.ndarray:
         offsets = acts.offsets
@@ -100,18 +124,33 @@ class MaxPooling(PoolingModule):
             flat = offsets[:-1][:, None] + arg
             argmax[nonempty] = flat[nonempty]
         self._argmax = argmax
-        self._lengths = lengths
-        self._n_values = int(acts.values.shape[0])
+        self._offsets = offsets
         return out
 
     def backward(self, dpooled: np.ndarray) -> np.ndarray:
         if self._argmax is None:
             raise RuntimeError("backward before forward")
-        dvalues = np.zeros((self._n_values, dpooled.shape[1]))
+        dvalues = np.zeros((int(self._offsets[-1]), dpooled.shape[1]))
         valid = self._argmax >= 0
         rows, dims = np.nonzero(valid)
         np.add.at(dvalues, (self._argmax[rows, dims], dims), dpooled[rows, dims])
         return dvalues
 
+    def expand_state(self, inverse: np.ndarray) -> None:
+        batch_offsets = _expand_offsets(self._offsets, inverse)
+        # same within-row position, rebased from the unique row's start
+        # to the batch copy's; empty rows keep their -1 marker
+        shift = batch_offsets[:-1] - self._offsets[:-1][inverse]
+        argmax = self._argmax[inverse]
+        self._argmax = np.where(argmax >= 0, argmax + shift[:, None], -1)
+        self._offsets = batch_offsets
+
     def flops(self, total_values: int, dim: int, batch_size: int) -> float:
         return float(total_values * dim)
+
+
+def _expand_offsets(offsets: np.ndarray | None, inverse: np.ndarray) -> np.ndarray:
+    """Offsets of the batch rows ``inverse`` selects out of ``offsets``."""
+    if offsets is None:
+        raise RuntimeError("expand_state before forward")
+    return offsets_from_lengths(np.diff(offsets)[inverse])

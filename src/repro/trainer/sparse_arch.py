@@ -10,7 +10,10 @@ This is where RecD's trainer-side optimizations (Table 1, O5–O7) live:
   for the ablation).
 * **O7 Deduplicated Compute** — run the pooling module (attention /
   transformer included) on unique rows only, then expand the *pooled*
-  output with the shared ``inverse_lookup``.
+  output with the shared ``inverse_lookup``.  The pooling forward runs
+  once per step, on unique rows; backward expands the saved forward
+  state to batch rows by gathers and then runs per batch copy, by
+  design, so gradients accumulate in the baseline's order.
 
 Every combination of flags is functionally identical — asserted by the
 test suite — because IKJTs encode the same logical data (§6.2).
@@ -24,7 +27,12 @@ import numpy as np
 
 from ..core.ikjt import InverseKeyedJaggedTensor
 from ..core.jagged import JaggedTensor
-from ..core.jagged_ops import dense_index_select, expand_pooled, jagged_index_select
+from ..core.jagged_ops import (
+    dense_index_select,
+    expand_pooled,
+    gather_ranges,
+    jagged_index_select,
+)
 from ..metrics.counters import Counters
 from .embedding import EmbeddingActivations, EmbeddingTable
 from .params import Parameter
@@ -123,8 +131,8 @@ class SparseFeature:
 
         # O5 without O7: expand *activations* to batch rows, pool those.
         if flags.jagged_index_select:
-            batch_values, batch_offsets = _expand_activations_jagged(
-                acts, inverse_lookup
+            batch_values, batch_offsets = gather_ranges(
+                acts.values, acts.offsets, inverse_lookup
             )
         else:
             batch_values, batch_offsets = _expand_activations_dense(
@@ -149,14 +157,16 @@ class SparseFeature:
         """Route pooled gradients back to the embedding table.
 
         The IKJT modes replay the baseline's *exact* accumulation
-        arithmetic: gradients are expanded to per-copy batch rows (a
-        pure gather — no float math) and accumulated per copy, exactly
-        as ``forward_kjt``'s backward would.  Folding per-copy grads
-        onto unique rows first would regroup float additions
+        arithmetic: gradients flow per batch copy (pooling backward over
+        batch rows, one embedding-gradient row per copy), exactly as
+        ``forward_kjt``'s backward would.  Folding per-copy grads onto
+        unique rows first would regroup float additions
         (``w - lr*(g1+g2) != (w - lr*g1) - lr*g2``) and drift the loss
         trajectory by ULPs after a few steps, breaking the repo's
-        bit-identity contract.  The *savings* stay modeled: counters
-        recorded in forward meter the deduplicated work.
+        bit-identity contract.  Dedup mode still pools only once, on
+        unique rows: its saved forward state is expanded to batch rows
+        by gathers (:meth:`~repro.trainer.pooling.PoolingModule.expand_state`),
+        which do no float math.
         """
         if self._acts is None:
             raise RuntimeError("backward before forward")
@@ -165,50 +175,15 @@ class SparseFeature:
             dacts = self.pooling.backward(dpooled)
             self.table.accumulate_grad(acts.ids, dacts)
             return
-        src, batch_offsets = _expansion_src(acts.offsets, inverse)
-        batch_ids = acts.ids[src]
+        batch_ids, _ = gather_ranges(acts.ids, acts.offsets, inverse)
         if self._mode == "dedup":
-            # pooling ran on unique rows; rebuild the batch-shaped cache
-            # (also makes pooling-param grads baseline-exact)
-            batch_acts = EmbeddingActivations(
-                acts.values[src], batch_offsets, batch_ids
-            )
-            self.pooling.forward(batch_acts)
-        # "expanded" mode pooled batch rows already; its cache is live
+            self.pooling.expand_state(inverse)
+        # "expanded" mode pooled batch rows already; its state is batch-shaped
         d_batch_values = self.pooling.backward(dpooled)
         self.table.accumulate_grad(batch_ids, d_batch_values)
 
     def params(self) -> list[Parameter]:
         return self.pooling.params()
-
-
-def _expansion_src(
-    offsets: np.ndarray, inverse: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat source indices expanding unique jagged rows to batch order.
-
-    Returns ``(src, batch_offsets)`` such that ``values[src]`` is the
-    fully-materialized batch layout and ``batch_offsets`` delimits its
-    rows — the exact inverse of dedup, as a gather.
-    """
-    lengths = np.diff(offsets)
-    sel = lengths[inverse]
-    batch_offsets = np.zeros(inverse.size + 1, dtype=np.int64)
-    np.cumsum(sel, out=batch_offsets[1:])
-    total = int(batch_offsets[-1])
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        batch_offsets[:-1], sel
-    )
-    src = np.repeat(offsets[:-1][inverse], sel) + within
-    return src, batch_offsets
-
-
-def _expand_activations_jagged(
-    acts: EmbeddingActivations, inverse: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather unique activation rows into batch order (O6 path, 2-D)."""
-    src, offsets = _expansion_src(acts.offsets, inverse)
-    return acts.values[src], offsets
 
 
 def _expand_activations_dense(

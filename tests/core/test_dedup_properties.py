@@ -13,6 +13,10 @@ rests on three algebraic contracts of :mod:`repro.core.dedup` and
   restores the duplicate-bearing KJT bit-for-bit, and the analytic
   ``expanded_nbytes`` equals what the restored KJT actually carries.
 
+* **reference agreement** — the column-at-a-time grouping returns exactly
+  the ``(unique_indices, inverse)`` of the straightforward per-row
+  bytes-key loop kept below as :func:`reference_grouped_rows`.
+
 The edge-case unit tests at the bottom pin the exact error messages and
 empty/single-row behaviour of the characterization helpers.
 """
@@ -42,6 +46,102 @@ _batch = st.lists(_row, max_size=12)
 
 def _gather(jt: JaggedTensor, indices: np.ndarray) -> list[list]:
     return [jt.row(int(i)).tolist() for i in indices]
+
+
+def reference_grouped_rows(tensors):
+    """The per-row bytes-key loop: the plainest correct grouping."""
+    n = tensors[0].num_rows
+    seen = {}
+    unique = []
+    inverse = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        key = tuple(t.row(i).tobytes() for t in tensors)
+        pos = seen.get(key)
+        if pos is None:
+            pos = len(unique)
+            seen[key] = pos
+            unique.append(i)
+        inverse[i] = pos
+    return np.asarray(unique, dtype=np.int64), inverse
+
+
+def _assert_matches_reference(tensors, got=None):
+    unique, inverse = got if got is not None else dedup_grouped_rows(tensors)
+    want_unique, want_inverse = reference_grouped_rows(tensors)
+    assert unique.dtype == np.int64 and inverse.dtype == np.int64
+    np.testing.assert_array_equal(unique, want_unique)
+    np.testing.assert_array_equal(inverse, want_inverse)
+
+
+# rows that differ only by trailing zeros or emptiness: equal once padded,
+# so only the stored length tells them apart
+_prefix_row = st.sampled_from([[], [0], [1, 2], [1, 2, 0], [1, 2, 0, 0], [0, 0]])
+
+
+class TestMatchesReferenceLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.one_of(_row, _prefix_row), max_size=12))
+    def test_single_feature(self, rows):
+        jt = JaggedTensor.from_lists(rows)
+        _assert_matches_reference([jt])
+        _assert_matches_reference([jt], got=dedup_rows(jt))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base=st.lists(st.one_of(_row, _prefix_row), max_size=12),
+        data=st.data(),
+    )
+    def test_group_with_one_member_differing(self, base, data):
+        """Members agree everywhere but on the rows one member perturbs."""
+        n_members = data.draw(st.integers(min_value=2, max_value=3))
+        members = [list(base) for _ in range(n_members)]
+        odd = data.draw(st.integers(min_value=0, max_value=n_members - 1))
+        for i in range(len(base)):
+            if data.draw(st.booleans()):
+                members[odd][i] = data.draw(st.one_of(_row, _prefix_row))
+        _assert_matches_reference(
+            [JaggedTensor.from_lists(rows) for rows in members]
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_batch, data=st.data())
+    def test_mixed_dtypes_compare_bytes(self, rows, data):
+        """A float member groups by its exact bytes, like the loop."""
+        floats = [
+            [data.draw(st.sampled_from([0.0, -0.0, 1.5])) for _ in r]
+            for r in rows
+        ]
+        _assert_matches_reference(
+            [
+                JaggedTensor.from_lists(rows),
+                JaggedTensor.from_lists(floats, dtype=np.float32),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [[]],
+            [[7]],
+            [[], []],
+            [[1, 2], [1, 2, 0], [1, 2], [], [1, 2, 0]],
+            [[0], [], [0, 0], [], [0]],
+        ],
+        ids=["n0", "n1-empty", "n1", "all-empty", "prefix", "zeros"],
+    )
+    def test_edge_batches(self, rows):
+        _assert_matches_reference([JaggedTensor.from_lists(rows)])
+        _assert_matches_reference(
+            [JaggedTensor.from_lists(rows), JaggedTensor.from_lists(rows)]
+        )
+
+    def test_prefix_equal_rows_stay_apart(self):
+        unique, inverse = dedup_rows(
+            JaggedTensor.from_lists([[1, 2], [1, 2, 0], [1, 2]])
+        )
+        np.testing.assert_array_equal(unique, [0, 1])
+        np.testing.assert_array_equal(inverse, [0, 1, 0])
 
 
 class TestInverseRoundTrip:

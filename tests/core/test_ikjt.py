@@ -108,6 +108,31 @@ class TestValidation:
                 {"a": JaggedTensor.from_lists([[1]])}, np.array([0, 1])
             )
 
+    def test_unreferenced_unique_row_rejected(self):
+        """Every unique row must back a batch row: an orphan would make
+        padded pooling state (the transformer's sequence width) differ
+        between deduplicated compute and the expanded batch."""
+        with pytest.raises(
+            ValueError,
+            match=r"inverse_lookup must reference every unique row; "
+            r"unreferenced: \[1\]",
+        ):
+            InverseKeyedJaggedTensor(
+                {"a": JaggedTensor.from_lists([[1], [2, 3, 4], [5]])},
+                np.array([0, 2, 0]),
+            )
+        with pytest.raises(ValueError, match="unreferenced: \\[0\\]"):
+            InverseKeyedJaggedTensor(
+                {"a": JaggedTensor.from_lists([[1]])},
+                np.zeros(0, dtype=np.int64),
+            )
+
+    def test_empty_batch_accepted(self):
+        ikjt = InverseKeyedJaggedTensor(
+            {"a": JaggedTensor.empty(0)}, np.zeros(0, dtype=np.int64)
+        )
+        assert ikjt.batch_size == 0 and ikjt.num_unique == 0
+
     def test_2d_inverse_rejected(self):
         with pytest.raises(ValueError):
             InverseKeyedJaggedTensor(

@@ -106,6 +106,60 @@ def test_backward_before_forward_raises(name):
         pool.backward(np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("name", list(POOLINGS))
+def test_expand_state_before_forward_raises(name):
+    pool = POOLINGS[name](3, np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match="expand_state before forward"):
+        pool.expand_state(np.zeros(1, dtype=np.int64))
+
+
+#: unique-row lengths x a surjective inverse: variable lengths, empty
+#: rows (Max's -1 argmax), and a longest row shared by several copies
+#: (the transformer's padded width)
+EXPANSIONS = [
+    ([2, 0, 3, 1], [0, 1, 2, 2, 3, 0, 2, 1]),
+    ([0, 0], [1, 0, 0, 1]),
+    ([4], [0, 0, 0]),
+    ([1, 5, 0, 2, 5], [4, 3, 1, 1, 0, 2, 1, 4, 3]),
+]
+
+
+def _expand(acts, inverse):
+    values = np.concatenate(
+        [acts.values[acts.offsets[u]:acts.offsets[u + 1]] for u in inverse]
+    )
+    lengths = np.diff(acts.offsets)[inverse]
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    return EmbeddingActivations(values, offsets, np.zeros(len(values)))
+
+
+@pytest.mark.parametrize("lengths,inverse", EXPANSIONS)
+@pytest.mark.parametrize("name", list(POOLINGS))
+def test_expand_state_matches_expanded_forward_bitwise(name, lengths, inverse):
+    """forward(unique) -> expand_state -> backward is bitwise the
+    baseline forward(expanded) -> backward: dvalues and param grads."""
+    dim = 4
+    inverse = np.asarray(inverse, dtype=np.int64)
+    rng = np.random.default_rng(12)
+    unique = make_acts(rng, lengths, dim)
+    expanded = _expand(unique, inverse)
+    dpooled = rng.normal(size=(inverse.size, dim))
+
+    dedup = POOLINGS[name](dim, np.random.default_rng(3))
+    base = POOLINGS[name](dim, np.random.default_rng(3))
+    pooled_unique = dedup.forward(unique)
+    dedup.expand_state(inverse)
+    d_dedup = dedup.backward(dpooled)
+    pooled_base = base.forward(expanded)
+    d_base = base.backward(dpooled)
+
+    np.testing.assert_array_equal(pooled_unique[inverse], pooled_base)
+    assert d_dedup.shape == expanded.values.shape
+    np.testing.assert_array_equal(d_dedup, d_base)
+    for p_dedup, p_base in zip(dedup.params(), base.params()):
+        np.testing.assert_array_equal(p_dedup.grad, p_base.grad)
+
+
 class TestSemantics:
     def test_sum_pooling_values(self):
         acts = EmbeddingActivations(

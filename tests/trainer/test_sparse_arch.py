@@ -3,18 +3,22 @@
 The paper's correctness claim (§6.2): "IKJTs encode the exact same
 logical data as KJTs and thus trainers can train on the exact same
 batches."  Every flag combination must produce identical pooled outputs
-AND identical embedding-table gradients.
+AND identical embedding-table gradients — bitwise, not approximately.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
 from repro.trainer import (
     AttentionPooling,
     EmbeddingTable,
+    MaxPooling,
+    MeanPooling,
     SparseArch,
     SparseFeature,
     SumPooling,
@@ -23,15 +27,15 @@ from repro.trainer import (
 )
 
 
-def make_batch_kjt(rng, batch=12, dup_factor=3):
+def make_batch_kjt(rng, batch=12, dup_factor=3, min_len=1):
     """A KJT whose rows repeat in blocks (session-like duplication)."""
     rows = []
     current = {}
     for i in range(batch):
         if i % dup_factor == 0:
             current = {
-                "f1": rng.integers(0, 50, size=rng.integers(1, 6)).tolist(),
-                "f2": rng.integers(0, 50, size=rng.integers(1, 4)).tolist(),
+                "f1": rng.integers(0, 50, size=rng.integers(min_len, 6)).tolist(),
+                "f2": rng.integers(0, 50, size=rng.integers(min_len, 4)).tolist(),
             }
         rows.append(dict(current))
     return KeyedJaggedTensor.from_rows(rows, keys=["f1", "f2"])
@@ -45,8 +49,8 @@ def build_arch(flags, pooling_cls, seed=0):
         table = EmbeddingTable(64, dim, np.random.default_rng(seed + hash(name) % 97), name=name)
         pool = (
             pooling_cls(dim, rng=np.random.default_rng(5))
-            if pooling_cls is not SumPooling
-            else SumPooling()
+            if pooling_cls in (AttentionPooling, TransformerPooling)
+            else pooling_cls()
         )
         features[name] = SparseFeature(name, table, pool)
     return SparseArch(features, flags)
@@ -59,11 +63,39 @@ ALL_FLAG_COMBOS = [
 ]
 
 
-@pytest.mark.parametrize("pooling_cls", [SumPooling, AttentionPooling, TransformerPooling])
+POOLING_CLASSES = [
+    SumPooling, MeanPooling, MaxPooling, AttentionPooling, TransformerPooling,
+]
+
+
+@pytest.mark.parametrize("pooling_cls", POOLING_CLASSES)
 @pytest.mark.parametrize("flags", ALL_FLAG_COMBOS)
 def test_ikjt_path_matches_kjt_path(pooling_cls, flags):
     rng = np.random.default_rng(3)
-    kjt = make_batch_kjt(rng)
+    assert_ikjt_path_bitwise(make_batch_kjt(rng), pooling_cls, flags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    batch=st.integers(min_value=1, max_value=20),
+    dup_factor=st.integers(min_value=1, max_value=6),
+    pooling_cls=st.sampled_from(POOLING_CLASSES),
+)
+def test_dedup_compute_bitwise_on_random_batches(
+    seed, batch, dup_factor, pooling_cls
+):
+    """Deduplicated compute matches the materialized baseline bit for bit
+    on any batch the reader can produce (variable lengths, empty rows,
+    a longest row anywhere)."""
+    rng = np.random.default_rng(seed)
+    kjt = make_batch_kjt(rng, batch=batch, dup_factor=dup_factor, min_len=0)
+    assert_ikjt_path_bitwise(kjt, pooling_cls, TrainerOptFlags.full())
+
+
+def assert_ikjt_path_bitwise(kjt, pooling_cls, flags):
+    """Pooled outputs, pooling-param grads and post-SGD tables of the IKJT
+    path equal the KJT baseline's bitwise."""
     ikjt = InverseKeyedJaggedTensor.from_kjt(kjt, ["f1", "f2"])
 
     base = build_arch(TrainerOptFlags.baseline(), pooling_cls)
@@ -75,16 +107,18 @@ def test_ikjt_path_matches_kjt_path(pooling_cls, flags):
     pooled_base = base.forward(kjt, [])
     pooled_recd = recd.forward(None, [ikjt])
     for a, b in zip(pooled_base, pooled_recd):
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        np.testing.assert_array_equal(a, b)
 
     # gradients must also match after backward + sparse apply
     grads = [np.random.default_rng(9).normal(size=p.shape) for p in pooled_base]
     base.backward(grads)
     recd.backward(grads)
+    for p_base, p_recd in zip(base.params(), recd.params()):
+        np.testing.assert_array_equal(p_base.grad, p_recd.grad)
     for t_base, t_recd in zip(base.tables(), recd.tables()):
         t_base.apply_sgd(0.1)
         t_recd.apply_sgd(0.1)
-        np.testing.assert_allclose(t_base.weight, t_recd.weight, atol=1e-10)
+        np.testing.assert_array_equal(t_base.weight, t_recd.weight)
 
 
 class TestResourceCounters:
