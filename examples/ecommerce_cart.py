@@ -25,6 +25,7 @@ from repro.datagen import (
 )
 from repro.etl import cluster_by_session
 from repro.reader import DataLoaderConfig, convert_rows
+from repro.storage import RowBlock
 from repro.trainer import DLRM, DLRMConfig, TrainerOptFlags
 
 
@@ -106,8 +107,9 @@ def main() -> None:
     print("\nstep  baseline-loss  recd-loss   (identical math, §6.2)")
     for step in range(4):
         rows = samples[step * batch_size : (step + 1) * batch_size]
-        base_batch, _ = convert_rows(rows, base_cfg)
-        recd_batch, _ = convert_rows(rows, recd_cfg)
+        block = RowBlock.from_samples(rows)
+        base_batch, _ = convert_rows(block, base_cfg)
+        recd_batch, _ = convert_rows(block, recd_cfg)
         cart = recd_batch.ikjts[0]
         lb = base_model.train_step(base_batch)
         lr = recd_model.train_step(recd_batch)

@@ -1,8 +1,10 @@
-"""Fill: fetch file splits from Tectonic and decode rows (§2.1, Fig 5).
+"""Fill: fetch file splits from Tectonic and decode columns (§2.1, Fig 5).
 
 A reader fills batches by reading stripes out of DWRF files, paying for
 (1) fetching/decrypting/decompressing compressed bytes and (2) decoding
-values into rows.  Both work inputs are measured by the underlying
+values into columnar :class:`~repro.storage.dwrf.RowBlock` s, which are
+cut into batch-sized blocks without building per-row objects.  Both work
+inputs are measured by the underlying
 :class:`~repro.storage.dwrf.DwrfReader` counters.
 """
 
@@ -11,8 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ..datagen.session import Sample
-from ..storage.dwrf import DwrfReader
+from ..storage.dwrf import DwrfReader, RowBlock
 
 __all__ = ["FillStats", "fill_batches"]
 
@@ -38,11 +39,16 @@ def fill_batches(
     drop_last: bool = True,
     row_start: int = 0,
     row_stop: int | None = None,
-) -> Iterator[tuple[list[Sample], FillStats]]:
-    """Stream fixed-size batches of rows off a partition's file readers.
+) -> Iterator[tuple[RowBlock, FillStats]]:
+    """Stream fixed-size batches off a partition's file readers, each a
+    columnar :class:`~repro.storage.dwrf.RowBlock`.
 
-    Stripes are read lazily; each yielded batch carries the *incremental*
-    fill work (so a node can attribute CPU time per batch).
+    Stripes are read lazily; decoded stripe blocks wait in a pending list
+    until they hold a batch, which is then cut with one
+    :meth:`~repro.storage.dwrf.RowBlock.concat` and
+    :meth:`~repro.storage.dwrf.RowBlock.slice`.  Each yielded batch
+    carries the *incremental* fill work (so a node can attribute CPU
+    time per batch).
 
     ``row_start``/``row_stop`` restrict filling to a window of the global
     row order across ``readers`` — how one fleet shard scans only its
@@ -58,7 +64,8 @@ def fill_batches(
         raise ValueError("row_start must be non-negative")
     if row_stop is not None and row_stop < row_start:
         raise ValueError("row_stop must be >= row_start")
-    pending: list[Sample] = []
+    pending: list[RowBlock] = []
+    pending_rows = 0
     prev = FillStats()
 
     def snapshot() -> FillStats:
@@ -95,10 +102,17 @@ def fill_batches(
                 break
             if lo >= stripe_rows:  # stripe is entirely before the window
                 continue
-            rows = reader.read_stripe(stripe_idx)
-            pending.extend(rows[lo:hi])
-            while len(pending) >= batch_size:
-                batch, pending = pending[:batch_size], pending[batch_size:]
-                yield batch, snapshot()
-    if pending and not drop_last:
-        yield pending, snapshot()
+            block = reader.read_stripe(stripe_idx).slice(lo, hi)
+            pending.append(block)
+            pending_rows += block.num_rows
+            if pending_rows < batch_size:
+                continue
+            merged = RowBlock.concat(pending)
+            start = 0
+            while pending_rows - start >= batch_size:
+                yield merged.slice(start, start + batch_size), snapshot()
+                start += batch_size
+            pending_rows -= start
+            pending = [merged.slice(start, merged.num_rows)]
+    if pending_rows and not drop_last:
+        yield RowBlock.concat(pending), snapshot()

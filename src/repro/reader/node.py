@@ -123,13 +123,13 @@ class ReaderNode:
             return
         cm = self.cost_model
         rep = self.report
-        for rows, fill_stats in fill_batches(
+        for block, fill_stats in fill_batches(
             file_readers,
             self.config.batch_size,
             row_start=row_start,
             row_stop=row_stop,
         ):
-            batch, conv_stats = convert_rows(rows, self.config)
+            batch, conv_stats = convert_rows(block, self.config)
             batch, proc_stats = apply_transforms(batch, self.config.transforms)
 
             rep.cpu.fill += cm.fill_seconds(
@@ -146,9 +146,7 @@ class ReaderNode:
             rep.expanded_bytes += batch.expanded_nbytes
             rep.samples += batch.batch_size
             rep.batches += 1
-            rep.batch_event_times.append(
-                max(row.timestamp for row in rows)
-            )
+            rep.batch_event_times.append(float(block.timestamp.max()))
             yield batch
             if max_batches is not None and rep.batches >= max_batches:
                 return

@@ -1,7 +1,7 @@
 """Storage substrate: DWRF-like columnar files, Tectonic FS, Hive tables."""
 
 from .compression import Codec, compress, decompress
-from .dwrf import DwrfReader, DwrfWriter, FileStats, StripeStats
+from .dwrf import DwrfReader, DwrfWriter, FileStats, RowBlock, StripeStats
 from .encoding import (
     IntEncoding,
     best_encoding,
@@ -25,6 +25,7 @@ __all__ = [
     "unzigzag",
     "DwrfWriter",
     "DwrfReader",
+    "RowBlock",
     "FileStats",
     "StripeStats",
     "TectonicFS",

@@ -28,6 +28,7 @@ __all__ = [
     "IntEncoding",
     "encode_int64",
     "decode_int64",
+    "decode_varint_streams",
     "zigzag",
     "unzigzag",
     "best_encoding",
@@ -91,25 +92,90 @@ def _varint_encode(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+#: longest LEB128 encoding of a 64-bit value
+_MAX_VARINT_BYTES = 10
+
+
+def decode_varint_streams(
+    payloads: list[bytes],
+    counts: list[int],
+    names: list[str] | None = None,
+) -> list[np.ndarray]:
+    """Decode several VARINT streams in one vectorized pass.
+
+    The payloads are joined into one byte buffer, every value's first
+    and last byte are found at once, the 7-bit groups are OR-ed in one
+    byte plane at a time (as many planes as the longest value has
+    bytes), and the result is split back by ``counts``.  Each stream must end on a complete value
+    and hold exactly its count of values, and no value may be longer
+    than 10 bytes.  ``names`` (one per stream) prefix the error message
+    so a caller can say which stream is malformed.
+    """
+    if len(counts) != len(payloads):
+        raise ValueError("one count per payload required")
+    if not payloads:
+        return []
+    buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    sizes = np.array([len(p) for p in payloads], dtype=np.int64)
+    stream_ends = np.cumsum(sizes)
+    ends = np.flatnonzero(buf < 0x80)
+    # a stream whose last byte continues would run into the next stream
+    tail_ok = np.ones(len(payloads), dtype=bool)
+    filled = sizes > 0
+    tail_ok[filled] = buf[stream_ends[filled] - 1] < 0x80
+    held = np.diff(np.searchsorted(ends, stream_ends), prepend=0)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    extra = np.subtract(ends, starts, out=ends)  # bytes after the first
+    del ends
+    bad = np.flatnonzero(~tail_ok | (held != counts))
+    long_vals = np.flatnonzero(extra >= _MAX_VARINT_BYTES)
+    long_streams = np.searchsorted(stream_ends, starts[long_vals], side="right")
+    first = min(
+        int(bad[0]) if bad.size else len(payloads),
+        int(long_streams[0]) if long_streams.size else len(payloads),
+    )
+    if first < len(payloads):
+        if not tail_ok[first]:
+            msg = "varint stream ends inside a value (continuation bit set)"
+        elif held[first] != counts[first]:
+            msg = (
+                f"varint stream holds {held[first]} values, "
+                f"expected {counts[first]}"
+            )
+        else:
+            msg = f"varint value longer than {_MAX_VARINT_BYTES} bytes"
+        if names is not None:
+            msg = f"{names[first]}: {msg}"
+        raise ValueError(msg)
+    values = buf[starts].astype(np.uint64)
+    values &= np.uint64(0x7F)
+    last = buf.size - 1
+    for plane in range(1, int(extra.max(initial=0)) + 1):
+        # byte ``plane`` of every value (clamped; zeroed where too short)
+        pos = starts + plane
+        np.minimum(pos, last, out=pos)
+        group = buf[pos]
+        del pos
+        group &= np.uint8(0x7F)
+        group[extra < plane] = 0
+        wide = group.astype(np.uint64)
+        wide <<= np.uint64(7 * plane)
+        values |= wide
+        del wide
+    # in-place zigzag inverse: (v >> 1) ^ -(v & 1)
+    sign = (values & np.uint64(1)).view(np.int64)
+    np.negative(sign, out=sign)
+    values >>= np.uint64(1)
+    values ^= sign.view(np.uint64)
+    return np.split(values.view(np.int64), np.cumsum(counts[:-1], dtype=np.int64))
+
+
 def _varint_decode(data: bytes, count: int) -> np.ndarray:
-    buf = np.frombuffer(data, dtype=np.uint8)
-    values = np.zeros(count, dtype=np.uint64)
-    # byte index cursor per value, decoded sequentially over planes
-    is_cont = (buf & 0x80) != 0
-    # value boundaries: a value ends at the first byte with cont bit clear
-    ends = np.flatnonzero(~is_cont)
-    if ends.size != count:
-        raise ValueError(
-            f"varint stream holds {ends.size} values, expected {count}"
-        )
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    payload = (buf & 0x7F).astype(np.uint64)
-    nbytes_per_val = ends - starts + 1
-    # accumulate one byte-plane at a time (<= 10 vectorized passes)
-    for plane in range(int(nbytes_per_val.max(initial=0))):
-        mask = nbytes_per_val > plane
-        values[mask] |= payload[starts[mask] + plane] << np.uint64(7 * plane)
-    return unzigzag(values)
+    """One VARINT stream: the single-stream case of
+    :func:`decode_varint_streams`."""
+    return decode_varint_streams([data], [count])[0]
 
 
 def _rle_encode(values: np.ndarray) -> bytes:

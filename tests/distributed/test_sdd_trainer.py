@@ -13,6 +13,7 @@ from repro.distributed import (
 )
 from repro.etl import cluster_by_session
 from repro.reader import Batch, DataLoaderConfig, convert_rows
+from repro.storage import RowBlock
 from repro.trainer import DLRM, DLRMConfig, TrainerOptFlags
 
 
@@ -94,7 +95,10 @@ def _batches(w, dedup, batch_size, n=2, seed=0):
             dense_features=tuple(w.schema.dense_names),
         )
     return [
-        convert_rows(samples[i * batch_size : (i + 1) * batch_size], cfg)[0]
+        convert_rows(
+            RowBlock.from_samples(samples[i * batch_size : (i + 1) * batch_size]),
+            cfg,
+        )[0]
         for i in range(n)
     ]
 

@@ -19,6 +19,7 @@ from repro.reader import (
     apply_transforms,
     convert_rows,
 )
+from repro.storage import RowBlock
 
 
 def _schema():
@@ -44,7 +45,7 @@ class TestConvert:
             dense_features=("d0", "d1"),
         )
         rows = _rows(8)
-        batch, stats = convert_rows(rows, cfg)
+        batch, stats = convert_rows(RowBlock.from_samples(rows), cfg)
         assert batch.batch_size == 8
         assert batch.kjt is not None and batch.ikjts == []
         assert batch.dense.shape == (8, 2)
@@ -58,7 +59,7 @@ class TestConvert:
             dedup_sparse_features=(("v", "w"),),
         )
         rows = _rows(8)
-        batch, stats = convert_rows(rows, cfg)
+        batch, stats = convert_rows(RowBlock.from_samples(rows), cfg)
         assert len(batch.ikjts) == 1
         ikjt = batch.ikjts[0]
         assert ikjt.keys == ["v", "w"]
@@ -75,7 +76,7 @@ class TestConvert:
             dedup_sparse_features=(("u",), ("v", "w")),
         )
         rows = _rows(16)
-        batch, _ = convert_rows(rows, cfg)
+        batch, _ = convert_rows(RowBlock.from_samples(rows), cfg)
         expanded = batch.to_kjt_only()
         for i, r in enumerate(rows):
             for key in ("u", "v", "w"):
@@ -88,7 +89,7 @@ class TestConvert:
             batch_size=4, sparse_features=("u",), dense_features=("d1",)
         )
         rows = _rows(4)
-        batch, _ = convert_rows(rows, cfg)
+        batch, _ = convert_rows(RowBlock.from_samples(rows), cfg)
         np.testing.assert_array_equal(
             batch.labels, [float(r.label) for r in rows]
         )
@@ -100,7 +101,7 @@ class TestConvert:
     def test_empty_rows_rejected(self):
         cfg = DataLoaderConfig(batch_size=4, sparse_features=("u",))
         with pytest.raises(ValueError):
-            convert_rows([], cfg)
+            convert_rows(RowBlock.from_samples([]), cfg)
 
 
 class TestTransforms:
@@ -151,7 +152,7 @@ class TestApplyTransforms:
                 transforms=("hash_modulo",),
             )
         rows = _rows(16)
-        batch, _ = convert_rows(rows, cfg)
+        batch, _ = convert_rows(RowBlock.from_samples(rows), cfg)
         return batch, cfg
 
     def test_equivalence_dedup_vs_plain(self):

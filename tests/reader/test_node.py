@@ -16,9 +16,9 @@ class TestFillBatches:
         table, samples = landed_table(seed=1)
         readers = table.open_readers("p")
         got = []
-        for rows, _ in fill_batches(readers, 64):
-            got.extend(rows)
-        assert [s.sample_id for s in got] == [
+        for block, _ in fill_batches(readers, 64):
+            got.extend(block.sample_id.tolist())
+        assert got == [
             s.sample_id for s in samples[: len(got)]
         ]
 
@@ -26,14 +26,14 @@ class TestFillBatches:
         table, samples = landed_table(seed=2)
         readers = table.open_readers("p")
         batches = list(fill_batches(readers, 50))
-        assert all(len(rows) == 50 for rows, _ in batches)
+        assert all(block.num_rows == 50 for block, _ in batches)
 
     def test_keep_last(self, landed_table):
         table, samples = landed_table(seed=2)
         readers = table.open_readers("p")
         total = sum(
-            len(rows)
-            for rows, _ in fill_batches(readers, 50, drop_last=False)
+            block.num_rows
+            for block, _ in fill_batches(readers, 50, drop_last=False)
         )
         assert total == len(samples)
 

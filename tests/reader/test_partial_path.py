@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.reader import DataLoaderConfig, apply_transforms, convert_rows
+from repro.storage import RowBlock
 from repro.trainer import DLRM, DLRMConfig, TrainerOptFlags
 
 from tests.conftest import make_reader_schema, make_trace
@@ -61,7 +62,7 @@ class TestConfig:
 class TestConvert:
     def test_partial_batch_lossless(self):
         rows = _rows()
-        batch, stats = convert_rows(rows, _partial_cfg())
+        batch, stats = convert_rows(RowBlock.from_samples(rows), _partial_cfg())
         assert batch.partial is not None
         assert stats.values_hashed > 0
         expanded = batch.to_kjt_only()
@@ -72,9 +73,9 @@ class TestConvert:
 
     def test_partial_shrinks_wire_bytes(self):
         rows = _rows()
-        partial_batch, _ = convert_rows(rows, _partial_cfg())
+        partial_batch, _ = convert_rows(RowBlock.from_samples(rows), _partial_cfg())
         plain_batch, _ = convert_rows(
-            rows, _partial_cfg().without_dedup()
+            RowBlock.from_samples(rows), _partial_cfg().without_dedup()
         )
         assert partial_batch.wire_nbytes < plain_batch.wire_nbytes
 
@@ -82,14 +83,14 @@ class TestConvert:
         """hist shifts often (change_prob 0.3): partial captures the
         shifted lists exact dedup cannot."""
         rows = _rows()
-        partial_batch, _ = convert_rows(rows, _partial_cfg())
+        partial_batch, _ = convert_rows(RowBlock.from_samples(rows), _partial_cfg())
         exact_cfg = DataLoaderConfig(
             batch_size=48,
             sparse_features=("item",),
             dedup_sparse_features=(("hist",),),
             dense_features=("d",),
         )
-        exact_batch, _ = convert_rows(rows, exact_cfg)
+        exact_batch, _ = convert_rows(RowBlock.from_samples(rows), exact_cfg)
         partial_values = partial_batch.partial["hist"].total_values
         exact_values = exact_batch.ikjts[0]["hist"].total_values
         assert partial_values < exact_values
@@ -98,18 +99,22 @@ class TestConvert:
 class TestTransforms:
     def test_elementwise_transform_over_partial(self):
         rows = _rows()
-        batch, _ = convert_rows(rows, _partial_cfg(("hash_modulo",)))
+        batch, _ = convert_rows(
+            RowBlock.from_samples(rows), _partial_cfg(("hash_modulo",))
+        )
         out, stats = apply_transforms(batch, ("hash_modulo",))
         assert stats.values_processed > 0
         # equivalence with the plain path
-        plain, _ = convert_rows(rows, _partial_cfg().without_dedup())
+        plain, _ = convert_rows(
+            RowBlock.from_samples(rows), _partial_cfg().without_dedup()
+        )
         plain_out, _ = apply_transforms(plain, ("hash_modulo",))
         expanded = out.to_kjt_only()
         assert expanded.kjt["hist"] == plain_out.kjt["hist"]
 
     def test_structural_transform_rejected(self):
         rows = _rows()
-        batch, _ = convert_rows(rows, _partial_cfg())
+        batch, _ = convert_rows(RowBlock.from_samples(rows), _partial_cfg())
         with pytest.raises(ValueError):
             apply_transforms(batch, ("truncate_length",))
 
@@ -162,8 +167,9 @@ class TestTraining:
         plain_model = DLRM(list(schema.sparse), cfg, TrainerOptFlags.baseline())
         partial_model = DLRM(list(schema.sparse), cfg, TrainerOptFlags.baseline())
         rows = _rows(seed=4)
-        plain_batch, _ = convert_rows(rows, _partial_cfg().without_dedup())
-        partial_batch, _ = convert_rows(rows, _partial_cfg())
+        block = RowBlock.from_samples(rows)
+        plain_batch, _ = convert_rows(block, _partial_cfg().without_dedup())
+        partial_batch, _ = convert_rows(block, _partial_cfg())
         lp = plain_model.train_step(plain_batch)
         lq = partial_model.train_step(partial_batch)
         assert lp == pytest.approx(lq, rel=1e-9)

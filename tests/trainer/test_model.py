@@ -11,6 +11,7 @@ from repro.datagen import (
 )
 from repro.etl import cluster_by_session
 from repro.reader import DataLoaderConfig, convert_rows
+from repro.storage import RowBlock
 from repro.trainer import DLRM, DLRMConfig, TrainerOptFlags
 from repro.trainer.embedding import EmbeddingTable
 
@@ -44,7 +45,7 @@ def make_batches(workload, dedup: bool, n_batches=2, batch_size=32, seed=0):
     batches = []
     for i in range(n_batches):
         rows = samples[i * batch_size : (i + 1) * batch_size]
-        batch, _ = convert_rows(rows, cfg)
+        batch, _ = convert_rows(RowBlock.from_samples(rows), cfg)
         batches.append(batch)
     return batches
 
